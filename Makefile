@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-store bench-shard bench-adaptive bench-smoke chaos chaos-disk chaos-net fuzz-short check
+.PHONY: all build vet fmt-check test perfbench-check race bench bench-store bench-shard bench-adaptive bench-smoke chaos chaos-disk chaos-net fuzz-short check
 
 all: check
 
@@ -21,6 +21,12 @@ fmt-check:
 # memo caches, and fault-injection points are all concurrency-sensitive).
 test: vet
 	$(GO) test -race ./...
+
+# The benchmark is a module of its own (perfbench/go.mod), so the root
+# `go build ./...` never compiles it: vet and test it here, so removing
+# pipeline API the benchmark uses fails the gate instead of the next run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detect the concurrency-heavy packages (worker pools, memo caches).
 race:
@@ -90,4 +96,4 @@ fuzz-short:
 	$(GO) test ./internal/minilang -run FuzzMinilangParse -fuzz FuzzMinilangParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explore -run '^$$' -fuzz FuzzAdaptivePlannerAxes -fuzztime $(FUZZTIME)
 
-check: build vet fmt-check test
+check: build vet fmt-check test perfbench-check

@@ -424,20 +424,3 @@ end
 		}
 	}
 }
-
-// BenchmarkEvaluateManyParallel measures the concurrent two-machine
-// evaluation against its sequential equivalent (BenchmarkTable1-style work).
-func BenchmarkEvaluateManyParallel(b *testing.B) {
-	c := ctx(b)
-	run, err := c.Run("srad")
-	if err != nil {
-		b.Fatal(err)
-	}
-	machines := []*hw.Machine{hw.BGQ(), hw.XeonE5()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.EvaluateMany(context.Background(), run, machines, pipeline.WithCriteria(hotspot.ScaledCriteria())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -85,7 +85,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -237,11 +236,11 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 		return false, fmt.Errorf("-adaptive needs -sweep axes to search over")
 	}
 
-	if len(cfg.sw.Axes) > 0 && cfg.sw.Store != "" && !cfg.sw.Adaptive {
-		// Store-backed sweeps branch before preparation on purpose: a
-		// fully warm store serves the whole sweep — preparation included —
-		// with zero recomputation.
-		return sweepStore(ctx, out, cfg, w, m, lim)
+	if len(cfg.sw.Axes) > 0 && cfg.sw.ShardWorkers == 0 && !cfg.sw.Adaptive {
+		// Exhaustive sweeps branch before preparation on purpose: a fully
+		// warm -store serves the whole sweep — preparation included — with
+		// zero recomputation.
+		return sweep(ctx, out, cfg, w, m, lim)
 	}
 
 	run, err := pipeline.Prepare(ctx, w,
@@ -260,10 +259,7 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 		if cfg.sw.ShardWorkers > 0 {
 			return sweepSharded(ctx, out, cfg, run, m)
 		}
-		if cfg.sw.Adaptive {
-			return sweepAdaptive(ctx, out, cfg, run, m)
-		}
-		return sweep(ctx, out, cfg, run, m)
+		return sweepAdaptive(ctx, out, cfg, run, m)
 	}
 
 	sections := map[string]bool{}
@@ -339,7 +335,7 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 	return degraded, nil
 }
 
-// sweepOptions assembles the pipeline options shared by both sweep paths.
+// sweepOptions assembles the pipeline options every sweep mode shares.
 func sweepOptions(cfg config, lim *guard.Limits) []pipeline.Option {
 	return []pipeline.Option{
 		pipeline.WithLimits(lim),
@@ -352,57 +348,47 @@ func sweepOptions(cfg config, lim *guard.Limits) []pipeline.Option {
 	}
 }
 
-// sweepStore runs the sweep through the content-addressed result store:
-// warm (workload, variant, settings) triples are served bit-identically
-// from earlier runs — a fully warm grid skips even the preparation — and
-// fresh results are written through for the next run. The base machine
-// rides along as an extra variant so the baseline analysis is cached under
-// the same contract.
-func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
+// sweep runs the exhaustive design-space exploration mode through
+// pipeline.SweepCached: a grid of machine variants around the base
+// machine, evaluated analytically (no simulation), reported as a ranked
+// table plus the time/cost Pareto frontier. With -store, warm (workload,
+// variant, settings) triples are served bit-identically from earlier runs
+// — a fully warm grid skips even the preparation — and fresh results are
+// written through for the next run; without it the sweep is Prepare +
+// Sweep. The base machine rides along as an extra variant, so the
+// baseline is cached and confidence-gated under the same contract.
+func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
 	variants, err := cfg.sw.Variants(base)
 	if err != nil {
 		return false, err
 	}
-	st, err := store.Open(cfg.sw.Store)
+	var st *store.Store
+	if cfg.sw.Store != "" {
+		if st, err = store.Open(cfg.sw.Store); err != nil {
+			return false, err
+		}
+		defer st.Close()
+	}
+	var last explore.Progress
+	opts := append(sweepOptions(cfg, lim),
+		pipeline.WithProgress(func(p explore.Progress) { last = p }))
+	j, err := openJournal(cfg)
 	if err != nil {
 		return false, err
 	}
-	defer st.Close()
-
-	opts := sweepOptions(cfg, lim)
-	if cfg.sw.Journal != "" {
-		j, jerr := journal.Open(cfg.sw.Journal)
-		if jerr != nil {
-			return false, jerr
-		}
+	if j != nil {
 		defer j.Close()
-		if n, _ := j.Recovered(); n > 0 && !cfg.sw.Resume {
-			return false, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-		}
 		opts = append(opts, pipeline.WithJournal(j))
-	} else if cfg.sw.Resume {
-		return false, fmt.Errorf("-resume needs -journal to resume from")
 	}
 
 	all := append(append([]*hw.Machine{}, variants...), base)
 	start := time.Now()
 	evals, sum, err := pipeline.SweepCached(ctx, w, all, st, opts...)
 	if err != nil {
-		tolerable := false
-		var sweepErr *explore.SweepError
-		if errors.As(err, &sweepErr) {
-			tolerable = true
-			for _, v := range sweepErr.Variants {
-				fmt.Fprintln(os.Stderr, "skope: warning:", v)
-			}
-		}
-		if errors.Is(err, explore.ErrJournalDegraded) || errors.Is(err, store.ErrDegraded) {
-			tolerable = true
-			fmt.Fprintln(os.Stderr, "skope: warning:", err)
-		}
-		if !tolerable || evals == nil {
+		if evals == nil || !explore.Tolerable(err) {
 			return false, err
 		}
+		fmt.Fprintln(os.Stderr, "skope: warning:", err)
 		degraded = true
 	}
 	wall := time.Since(start)
@@ -410,28 +396,29 @@ func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Wor
 	if tbl := report.Diagnostics("preparation diagnostics", sum.Diagnostics); tbl != "" {
 		fmt.Fprintln(out, tbl)
 	}
-	baseEval := evals[len(all)-1]
-	evals = evals[:len(variants)]
+	baseEval := evals[len(variants)]
 	if baseEval == nil {
 		return degraded, fmt.Errorf("baseline %s failed to evaluate", base.Name)
 	}
+	renderSweep(out, cfg, variants, evals[:len(variants)], baseEval.Analysis, w.Name, base.Name)
 
-	analyses := make([]*hotspot.Analysis, len(variants))
-	for i, ev := range evals {
-		if ev != nil {
-			analyses[i] = ev.Analysis
+	fmt.Fprintf(out, "sweep stats: %d variants in %s, ", len(variants), wall.Round(time.Microsecond))
+	if st != nil {
+		stats := st.Stats()
+		fmt.Fprintf(out, "store %s, %.1f%% served from store (%d hits / %d misses)",
+			st.Path(), 100*stats.HitRate(), stats.Hits, stats.Misses)
+		if sum.SkippedPrepare {
+			fmt.Fprint(out, ", preparation skipped (fully warm)")
 		}
-	}
-	renderSweep(out, cfg, variants, analyses, baseEval.Analysis, w.Name, base.Name)
-
-	stats := st.Stats()
-	fmt.Fprintf(out, "sweep stats: %d variants in %s, store %s, %.1f%% served from store (%d hits / %d misses)",
-		len(variants), wall.Round(time.Microsecond), st.Path(), 100*stats.HitRate(), stats.Hits, stats.Misses)
-	if sum.SkippedPrepare {
-		fmt.Fprint(out, ", preparation skipped (fully warm)")
+	} else {
+		fmt.Fprintf(out, "cache hit rate %.1f%% (%d hits / %d misses)",
+			100*last.Cache.HitRate(), last.Cache.Hits, last.Cache.Misses)
 	}
 	if sum.FromJournal > 0 {
 		fmt.Fprintf(out, ", %d replayed from journal", sum.FromJournal)
+	}
+	if last.Retried > 0 {
+		fmt.Fprintf(out, ", %d retries", last.Retried)
 	}
 	fmt.Fprintln(out)
 	if sum.Confidence < 1 || len(sum.Diagnostics) > 0 {
@@ -441,91 +428,43 @@ func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Wor
 	return degraded, nil
 }
 
-// sweep runs the design-space exploration mode on the engine directly: a
-// grid of machine variants around the base machine, evaluated analytically
-// (no simulation), reported as a ranked table plus the time/cost Pareto
-// frontier. (With -store, sweepStore handles the run instead.)
-func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine) (degraded bool, err error) {
-	variants, err := cfg.sw.Variants(base)
+// openJournal opens the -journal file of a sweep (nil without -journal).
+// A journal that already holds completed variants is replayed only under
+// -resume, so a finished sweep's journal is never reused by accident; one
+// with no completed variant (say, only the header a bind wrote) is
+// accepted either way.
+func openJournal(cfg config) (*journal.Journal, error) {
+	if cfg.sw.Journal == "" {
+		if cfg.sw.Resume {
+			return nil, fmt.Errorf("-resume needs -journal to resume from")
+		}
+		return nil, nil
+	}
+	j, err := journal.Open(cfg.sw.Journal)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
+	n, torn := j.Recovered()
+	if n > 0 && !cfg.sw.Resume {
+		j.Close()
+		return nil, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
+	}
+	if torn {
+		fmt.Fprintf(os.Stderr, "skope: warning: journal %s: torn tail from an interrupted run discarded\n", cfg.sw.Journal)
+	}
+	return j, nil
+}
 
-	var last explore.Progress
-	lim, _ := cfg.grd.Resolve()
-	opts := append(sweepOptions(cfg, lim),
-		pipeline.WithProgress(func(p explore.Progress) { last = p }))
-	eng, err := pipeline.Explorer(run, opts...)
-	if err != nil {
-		return false, err
+// baseline projects the base machine for the speedup column through a
+// one-variant pipeline.Sweep, under the engine options, store and
+// confidence floor the grid ran with. It stays off the sweep journal,
+// which holds exactly the grid's records.
+func baseline(ctx context.Context, run *pipeline.Run, base *hw.Machine, opts []pipeline.Option) (*hotspot.Analysis, error) {
+	evals, err := pipeline.Sweep(ctx, run, []*hw.Machine{base}, opts...)
+	if len(evals) == 0 || evals[0] == nil {
+		return nil, fmt.Errorf("baseline %s failed to evaluate: %w", base.Name, err)
 	}
-	if cfg.sw.Journal != "" {
-		if !cfg.sw.Resume {
-			if fi, statErr := os.Stat(cfg.sw.Journal); statErr == nil && fi.Size() > 0 {
-				return false, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-			}
-		}
-		j, jerr := eng.UseJournal(cfg.sw.Journal)
-		if jerr != nil {
-			return false, jerr
-		}
-		defer j.Close()
-		if n, torn := j.Recovered(); n > 0 || torn {
-			fmt.Fprintf(out, "journal %s: %d completed variants to replay", cfg.sw.Journal, eng.Replayable())
-			if torn {
-				fmt.Fprint(out, " (torn tail from an interrupted run discarded)")
-			}
-			fmt.Fprintln(out)
-		}
-	} else if cfg.sw.Resume {
-		return false, fmt.Errorf("-resume needs -journal to resume from")
-	}
-	start := time.Now()
-	analyses, err := eng.Sweep(ctx, variants)
-	if err != nil {
-		var sweepErr *explore.SweepError
-		tolerable := false
-		if errors.As(err, &sweepErr) {
-			// Degraded sweep: report the poisoned variants and continue
-			// with the healthy ones rather than discarding the whole grid.
-			tolerable = true
-			for _, v := range sweepErr.Variants {
-				fmt.Fprintln(os.Stderr, "skope: warning:", v)
-			}
-		}
-		if errors.Is(err, explore.ErrJournalDegraded) {
-			tolerable = true
-			fmt.Fprintln(os.Stderr, "skope: warning:", err)
-		}
-		if !tolerable {
-			return false, err
-		}
-		degraded = true
-	}
-	wall := time.Since(start)
-
-	baseline, err := hotspot.Analyze(ctx, run.BET, hw.NewModel(base), run.Libs)
-	if err != nil {
-		return degraded, err
-	}
-
-	renderSweep(out, cfg, variants, analyses, baseline, run.Workload.Name, base.Name)
-
-	stats := eng.CacheStats()
-	fmt.Fprintf(out, "sweep stats: %d variants in %s, cache hit rate %.1f%% (%d hits / %d misses)",
-		len(variants), wall.Round(time.Microsecond), 100*stats.HitRate(), stats.Hits, stats.Misses)
-	if last.Replayed > 0 {
-		fmt.Fprintf(out, ", %d replayed from journal", last.Replayed)
-	}
-	if last.Retried > 0 {
-		fmt.Fprintf(out, ", %d retries", last.Retried)
-	}
-	fmt.Fprintln(out)
-	if run.Degraded() {
-		degraded = true
-		fmt.Fprintf(out, "sweep %s\n", report.Confidence(run.Confidence, run.Diagnostics))
-	}
-	return degraded, nil
+	return evals[0].Analysis, nil
 }
 
 // sweepAdaptive runs the surrogate-guided search: seed sample, online
@@ -555,18 +494,14 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 		defer st.Close()
 		opts = append(opts, pipeline.WithStore(st))
 	}
-	if cfg.sw.Journal != "" {
-		j, jerr := journal.Open(cfg.sw.Journal)
-		if jerr != nil {
-			return false, jerr
-		}
+	j, err := openJournal(cfg)
+	if err != nil {
+		return false, err
+	}
+	searchOpts := opts // the baseline below stays off the journal
+	if j != nil {
 		defer j.Close()
-		if n, _ := j.Recovered(); n > 0 && !cfg.sw.Resume {
-			return false, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-		}
-		opts = append(opts, pipeline.WithJournal(j))
-	} else if cfg.sw.Resume {
-		return false, fmt.Errorf("-resume needs -journal to resume from")
+		searchOpts = append(opts, pipeline.WithJournal(j))
 	}
 
 	aopt := explore.AdaptiveOptions{
@@ -582,39 +517,22 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 		},
 	}
 	start := time.Now()
-	evals, ares, err := pipeline.SweepAdaptive(ctx, run, variants, axes, aopt, opts...)
+	evals, ares, err := pipeline.SweepAdaptive(ctx, run, variants, axes, aopt, searchOpts...)
 	if err != nil {
-		tolerable := false
-		var sweepErr *explore.SweepError
-		if errors.As(err, &sweepErr) {
-			tolerable = true
-			for _, v := range sweepErr.Variants {
-				fmt.Fprintln(os.Stderr, "skope: warning:", v)
-			}
-		}
-		if errors.Is(err, explore.ErrJournalDegraded) || errors.Is(err, store.ErrDegraded) {
-			tolerable = true
-			fmt.Fprintln(os.Stderr, "skope: warning:", err)
-		}
-		if !tolerable || evals == nil {
+		if evals == nil || !explore.Tolerable(err) {
 			return false, err
 		}
+		fmt.Fprintln(os.Stderr, "skope: warning:", err)
 		degraded = true
 	}
 	wall := time.Since(start)
 	fmt.Fprintln(out)
 
-	baseline, err := hotspot.Analyze(ctx, run.BET, hw.NewModel(base), run.Libs)
+	baseAnalysis, err := baseline(ctx, run, base, opts)
 	if err != nil {
 		return degraded, err
 	}
-	analyses := make([]*hotspot.Analysis, len(variants))
-	for i, ev := range evals {
-		if ev != nil {
-			analyses[i] = ev.Analysis
-		}
-	}
-	renderSweep(out, cfg, variants, analyses, baseline, run.Workload.Name, base.Name)
+	renderSweep(out, cfg, variants, evals, baseAnalysis, run.Workload.Name, base.Name)
 
 	mode := "budget exhausted"
 	if ares.Converged {
@@ -632,11 +550,15 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 }
 
 // renderSweep prints the ranked variant table, the Pareto frontier, and
-// the best variant — shared by the engine and store sweep paths.
-func renderSweep(out io.Writer, cfg config, variants []*hw.Machine, analyses []*hotspot.Analysis, baseline *hotspot.Analysis, workload, baseName string) {
+// the best variant — shared by the exhaustive, adaptive and sharded sweeps.
+// evals is index-aligned with variants, nil where a variant failed or was
+// never evaluated.
+func renderSweep(out io.Writer, cfg config, variants []*hw.Machine, evals []*pipeline.Eval, baseline *hotspot.Analysis, workload, baseName string) {
+	analyses := make([]*hotspot.Analysis, len(evals))
 	var order []int
-	for i, a := range analyses {
-		if a != nil {
+	for i, ev := range evals {
+		if ev != nil {
+			analyses[i] = ev.Analysis
 			order = append(order, i)
 		}
 	}

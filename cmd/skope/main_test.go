@@ -10,8 +10,11 @@ import (
 	"testing"
 
 	"skope/internal/cliflags"
+	"skope/internal/explore"
 	"skope/internal/guard"
 	"skope/internal/hw"
+	"skope/internal/journal"
+	"skope/internal/pipeline"
 )
 
 func TestRunList(t *testing.T) {
@@ -329,5 +332,56 @@ func TestRunListShowsStore(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "result store (-store") {
 		t.Errorf("list output missing store section:\n%s", buf.String())
+	}
+}
+
+// TestRunSweepStoreParity: -store changes where results come from, never
+// what is rendered. The same grid prints the same ranked table, Pareto
+// frontier and best variant with and without a store, and both treat
+// -journal alike: a journal holding no completed variant (only the header
+// a bind writes) is accepted without -resume, and one holding completed
+// variants is refused without it.
+func TestRunSweepStoreParity(t *testing.T) {
+	prep, err := pipeline.PrepareByName(context.Background(), "srad", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := prep.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	outputs := map[string]string{}
+	for _, mode := range []string{"no-store", "store"} {
+		cfg := sweepStoreConfig(filepath.Join(dir, "results.cas"))
+		if mode == "no-store" {
+			cfg.sw.Store = ""
+		}
+		cfg.sw.Journal = filepath.Join(dir, mode+".journal")
+		j, err := journal.Open(cfg.sw.Journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.SetMeta(map[string]string{explore.MetaLayoutKey: layout.Fingerprint()}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+
+		var buf bytes.Buffer
+		if _, err := run(context.Background(), &buf, cfg); err != nil {
+			t.Fatalf("%s: header-only journal refused: %v", mode, err)
+		}
+		outputs[mode] = stableSweepOutput(buf.String())
+		if !strings.Contains(outputs[mode], "best variant:") {
+			t.Errorf("%s: output missing best variant:\n%s", mode, buf.String())
+		}
+		if _, err := run(context.Background(), &bytes.Buffer{}, cfg); err == nil ||
+			!strings.Contains(err.Error(), "-resume") {
+			t.Errorf("%s: journal with completed variants not refused: %v", mode, err)
+		}
+	}
+	if outputs["no-store"] != outputs["store"] {
+		t.Errorf("sweep output depends on -store:\n--- no store\n%s\n--- store\n%s",
+			outputs["no-store"], outputs["store"])
 	}
 }

@@ -12,7 +12,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -23,8 +22,8 @@ import (
 	"time"
 
 	"skope/internal/explore"
-	"skope/internal/hotspot"
 	"skope/internal/hw"
+	"skope/internal/journal"
 	"skope/internal/pipeline"
 	"skope/internal/shard"
 )
@@ -216,37 +215,32 @@ func sweepSharded(ctx context.Context, out io.Writer, cfg config, run *pipeline.
 		return degraded, err
 	}
 
-	// Local replay: feed the merged journal through the exploration engine
-	// so rendering, ranking, and the Pareto frontier go through exactly the
+	// Local replay: feed the merged journal through pipeline.Sweep so
+	// rendering, ranking, and the Pareto frontier go through exactly the
 	// same path as a single-process sweep. Any variant missing from the
 	// journal (a permanently failed one) is evaluated here as a fallback.
-	lim, _ := cfg.grd.Resolve()
-	eng, err := pipeline.Explorer(run, sweepOptions(cfg, lim)...)
-	if err != nil {
-		return degraded, err
-	}
-	j, err := eng.UseJournal(mergedPath)
+	j, err := journal.Open(mergedPath)
 	if err != nil {
 		return degraded, err
 	}
 	defer j.Close()
-	replayable := eng.Replayable()
-	analyses, err := eng.Sweep(ctx, variants)
+	replayable := j.Len()
+	lim, _ := cfg.grd.Resolve()
+	opts := sweepOptions(cfg, lim)
+	evals, err := pipeline.Sweep(ctx, run, variants, append(opts, pipeline.WithJournal(j))...)
 	if err != nil {
-		var sweepErr *explore.SweepError
-		tolerable := errors.As(err, &sweepErr) || errors.Is(err, explore.ErrJournalDegraded)
-		if !tolerable {
+		if evals == nil || !explore.Tolerable(err) {
 			return degraded, err
 		}
 		fmt.Fprintln(os.Stderr, "skope: warning:", err)
 		degraded = true
 	}
 
-	baseline, err := hotspot.Analyze(ctx, run.BET, hw.NewModel(base), run.Libs)
+	baseAnalysis, err := baseline(ctx, run, base, opts)
 	if err != nil {
 		return degraded, err
 	}
-	renderSweep(out, cfg, variants, analyses, baseline, run.Workload.Name, base.Name)
+	renderSweep(out, cfg, variants, evals, baseAnalysis, run.Workload.Name, base.Name)
 
 	st := coord.Status()
 	fmt.Fprintf(out, "sweep stats: %d variants in %s across %d worker processes, %d shards",

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -532,5 +533,53 @@ func main() {
 	results, _ := streamLines(t, ts.URL, id, "")
 	if len(results) != 2 {
 		t.Errorf("got %d results, want 2", len(results))
+	}
+}
+
+// TestAdaptiveSessionBaseline: an adaptive session projects its baseline
+// analytically through the shared store, never running the simulator —
+// bit-identical to the baseline an exact session reports for the same
+// bench and machine — and a repeated adaptive session serves it from the
+// store without recomputing anything.
+func TestAdaptiveSessionBaseline(t *testing.T) {
+	defer guard.Arm("sim.run", func(machine string) {
+		t.Errorf("session ran the simulator on %s", machine)
+	})()
+	sweep := []string{"freq-ghz=1.6,2.4", "mem-latency=80,150"}
+	baselineOf := func(base string, req sessionRequest) float64 {
+		t.Helper()
+		id := submit(t, base, req)
+		if info := waitState(t, base, id); info["state"] != stateDone {
+			t.Fatalf("%s session ended %v (%v)", req.Mode, info["state"], info["error"])
+		}
+		_, summary := streamLines(t, base, id, "")
+		return summary["baseline_time_s"].(float64)
+	}
+	storeHits := func(base string) float64 {
+		t.Helper()
+		return getJSON(t, base+"/v1/healthz")["store"].(map[string]any)["hits"].(float64)
+	}
+
+	_, plain := testServer(t, t.TempDir(), "", 2)
+	exact := baselineOf(plain.URL, sessionRequest{Bench: "sord", Sweep: sweep})
+
+	dir := t.TempDir()
+	_, ts := testServer(t, dir, filepath.Join(dir, "cas"), 2)
+	adaptive := sessionRequest{Bench: "sord", Sweep: sweep, Mode: modeAdaptive, AdaptiveSeed: 5}
+	if got := baselineOf(ts.URL, adaptive); math.Float64bits(got) != math.Float64bits(exact) {
+		t.Errorf("adaptive baseline %v != exact baseline %v", got, exact)
+	}
+
+	hits := storeHits(ts.URL)
+	disarm := guard.Arm("explore.evaluate", func(detail string) {
+		t.Errorf("repeated adaptive session recomputed %s", detail)
+	})
+	got := baselineOf(ts.URL, adaptive)
+	disarm()
+	if math.Float64bits(got) != math.Float64bits(exact) {
+		t.Errorf("store-served adaptive baseline %v != exact baseline %v", got, exact)
+	}
+	if after := storeHits(ts.URL); after <= hits {
+		t.Errorf("store hits %v -> %v: repeated adaptive session did not read the store", hits, after)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"skope/internal/journal"
 	"skope/internal/pipeline"
 	"skope/internal/resilience"
-	"skope/internal/store"
 	"skope/internal/workloads"
 )
 
@@ -248,11 +247,6 @@ func (srv *server) newSession(id string, req sessionRequest) (*session, error) {
 		pipeline.WithRetry(resilience.DefaultPolicy(req.Retries)),
 		pipeline.WithVariantTimeout(timeout),
 		pipeline.WithMinConfidence(req.MinConfidence),
-		pipeline.WithProgress(func(p explore.Progress) {
-			sess.mu.Lock()
-			sess.progress = p
-			sess.mu.Unlock()
-		}),
 	}
 	if req.JournalID != "" {
 		if !jid.MatchString(req.JournalID) {
@@ -299,7 +293,14 @@ func (srv *server) run(ctx context.Context, sess *session) {
 	}
 	sess.setState(stateRunning)
 
-	opts := sess.opts
+	// The sweep reports progress and journals; the adaptive baseline, a
+	// sweep of its own, does neither (see runAdaptive).
+	opts := append(sess.opts[:len(sess.opts):len(sess.opts)],
+		pipeline.WithProgress(func(p explore.Progress) {
+			sess.mu.Lock()
+			sess.progress = p
+			sess.mu.Unlock()
+		}))
 	if sess.jpath != "" {
 		j, err := journal.Open(sess.jpath)
 		if err != nil {
@@ -326,12 +327,8 @@ func (srv *server) run(ctx context.Context, sess *session) {
 
 	all := append(append([]*hw.Machine{}, sess.variants...), sess.base)
 	evals, sum, err := pipeline.SweepCached(ctx, sess.workload, all, srv.store, opts...)
-	if err != nil && !tolerable(err) || evals == nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(err)
+	if err != nil && !explore.Tolerable(err) || evals == nil {
+		sess.abort(ctx, err)
 		return
 	}
 
@@ -363,20 +360,21 @@ func (srv *server) run(ctx context.Context, sess *session) {
 // surrogate-guided search through pipeline.SweepAdaptive (the shared
 // store and the session journal ride along on the options, so the
 // evaluations compose with the daemon's caching exactly like an exact
-// sweep's), evaluate the baseline, and record the round trace + outcome.
-// Called with the worker budget already held; the caller owns the
-// terminal state on the paths that return early.
+// sweep's), project the baseline, and record the round trace + outcome.
+// The baseline is a one-variant pipeline.Sweep through the shared store
+// under the session's own options — the analysis an exact session gets for
+// its base machine — kept off the journal and the progress counters, which
+// track the search. Called with the worker budget already held; the caller
+// owns the terminal state on the paths that return early.
 func (srv *server) runAdaptive(ctx context.Context, sess *session, opts []pipeline.Option) {
+	baseOpts := sess.opts
 	if srv.store != nil {
 		opts = append(opts, pipeline.WithStore(srv.store))
+		baseOpts = append(baseOpts[:len(baseOpts):len(baseOpts)], pipeline.WithStore(srv.store))
 	}
 	run, err := pipeline.Prepare(ctx, sess.workload, opts...)
 	if err != nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(err)
+		sess.abort(ctx, err)
 		return
 	}
 	aopt := explore.AdaptiveOptions{
@@ -389,50 +387,23 @@ func (srv *server) runAdaptive(ctx context.Context, sess *session, opts []pipeli
 		},
 	}
 	evals, ares, err := pipeline.SweepAdaptive(ctx, run, sess.variants, sess.axes, aopt, opts...)
-	if err != nil && !tolerable(err) || evals == nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(err)
+	if err != nil && !explore.Tolerable(err) || evals == nil {
+		sess.abort(ctx, err)
 		return
 	}
-	baseEval, berr := pipeline.Evaluate(ctx, run, sess.base, opts...)
-	if berr != nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(berr)
+	baseEvals, berr := pipeline.Sweep(ctx, run, []*hw.Machine{sess.base}, baseOpts...)
+	if berr != nil && !explore.Tolerable(berr) || baseEvals == nil {
+		sess.abort(ctx, berr)
 		return
 	}
-
-	sum := &pipeline.SweepSummary{
-		Workload:    run.Workload.Name,
-		Total:       len(sess.variants),
-		Confidence:  run.Confidence,
-		Diagnostics: run.Diagnostics,
-	}
-	for _, ev := range evals {
-		if ev == nil {
-			continue
-		}
-		switch ev.Provenance {
-		case pipeline.FromJournal:
-			sum.FromJournal++
-		case pipeline.FromStore:
-			sum.FromStore++
-		default:
-			sum.Computed++
-		}
-	}
+	sum := run.Summarize(evals)
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.baseEval = baseEval
 	sess.evals = evals
 	sess.summary = sum
 	sess.adaptive = ares
+	err = errors.Join(err, berr)
 	sess.degraded = err != nil || run.Confidence < 1 || len(run.Diagnostics) > 0
 	if err != nil {
 		sess.errMsg = err.Error()
@@ -442,7 +413,22 @@ func (srv *server) runAdaptive(ctx context.Context, sess *session, opts []pipeli
 		Replayed: sum.FromJournal, Stored: sum.FromStore,
 		Retried: sess.progress.Retried, Elapsed: time.Since(sess.created),
 	}
+	if sess.baseEval = baseEvals[0]; sess.baseEval == nil {
+		sess.state = stateFailed
+		sess.errMsg = "baseline " + sess.base.Name + " failed to evaluate"
+		return
+	}
 	sess.state = stateDone
+}
+
+// abort records a sweep that produced no usable results: canceled when the
+// session's context ended, failed otherwise.
+func (s *session) abort(ctx context.Context, err error) {
+	if ctx.Err() != nil {
+		s.setState(stateCanceled)
+		return
+	}
+	s.fail(err)
 }
 
 func (s *session) fail(err error) {
@@ -450,16 +436,6 @@ func (s *session) fail(err error) {
 	s.state = stateFailed
 	s.errMsg = err.Error()
 	s.mu.Unlock()
-}
-
-// tolerable reports whether a sweep error leaves usable results: poisoned
-// variants (reported per-variant), or journal/store degradation (results
-// complete, durability partial).
-func tolerable(err error) bool {
-	var sweepErr *explore.SweepError
-	return errors.As(err, &sweepErr) ||
-		errors.Is(err, explore.ErrJournalDegraded) ||
-		errors.Is(err, store.ErrDegraded)
 }
 
 // ranked returns the indices of the session's healthy evals in ascending

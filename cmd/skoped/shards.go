@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"skope/internal/cliflags"
+	"skope/internal/explore"
 	"skope/internal/hw"
 	"skope/internal/journal"
 	"skope/internal/pipeline"
@@ -339,20 +340,13 @@ func (srv *server) harvestJob(ctx context.Context, job *shardJob) (*harvestResul
 		opts = append(opts, pipeline.WithStore(srv.store))
 	}
 	evals, err := pipeline.Sweep(ctx, job.run, variants, opts...)
-	if err != nil && !tolerable(err) {
+	if err != nil && !explore.Tolerable(err) {
 		return nil, err
 	}
-	for _, ev := range evals {
-		if ev == nil {
-			continue
-		}
-		switch ev.Provenance {
-		case pipeline.FromJournal:
-			res.FromJournal++
-		}
-		if srv.store != nil {
-			res.Stored++
-		}
+	sum := job.run.Summarize(evals)
+	res.FromJournal = sum.FromJournal
+	if srv.store != nil {
+		res.Stored = sum.Computed + sum.FromJournal + sum.FromStore
 	}
 	// The merged journal and store now carry everything the coordinator
 	// log protected; retire it so restarts stop recovering a finished job.

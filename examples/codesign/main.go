@@ -36,7 +36,7 @@ func main() {
 
 	// One engine for the whole study: the memo cache carries across
 	// sweeps, so re-visited parameter subsets are free.
-	eng, err := pipeline.Explorer(run)
+	eng, err := explore.New(run.BET, run.Libs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,6 +14,115 @@ import (
 	"skope/internal/expr"
 	"skope/internal/skeleton"
 )
+
+// The Monte Carlo oracle samples each skeleton in mcBatches independent
+// batches of mcBatchRuns runs (4000 runs in all). The spread of the batch
+// means gives each block's standard error, so the tolerance follows the
+// sampling noise of that block: deeply nested blocks whose executions
+// cluster (one rare branch admits many executions) get a wide band, and
+// steady blocks a narrow one.
+const (
+	mcBatches   = 16
+	mcBatchRuns = 250
+	// mcZ is the band half-width in standard errors. A skeleton yields a
+	// few dozen block checks, so the band has to be wide enough that
+	// honest noise stays inside it across the whole corpus, yet narrow
+	// enough that a doubled ENR falls outside (TestMCOracleHasPower).
+	mcZ = 6
+	// mcFloor absorbs the noise of blocks so rare that few batches see
+	// them at all, where the batch spread underestimates the error.
+	mcFloor = 0.02
+)
+
+// quickMCSeeds pins skeleton seeds that failed the earlier version of
+// TestQuickBETMatchesMonteCarlo (clock-seeded inputs, a fixed 15% relative
+// bound): at 200k runs each of them agrees with the BET within 1.7%, so
+// they are sampling-noise cases the oracle must absorb.
+var quickMCSeeds = []uint32{
+	163642138, 1262242397, 181428426, 637496023, 1355033053,
+	2177224880, 503016099, 426500320, 1095064571,
+}
+
+// mcSample is the batched Monte Carlo estimate for one skeleton: per
+// block, the mean execution count over all runs and its standard error.
+type mcSample struct {
+	mean, se map[string]float64
+}
+
+// sampleMC runs the sampler over the tree in independent batches.
+func sampleMC(tree *bst.Tree, input expr.Env, seed uint64) (*mcSample, error) {
+	batches := make([]map[string]float64, mcBatches)
+	ids := map[string]bool{}
+	for k := range batches {
+		b, err := MonteCarlo(tree, input, &MCOptions{Runs: mcBatchRuns, Seed: seed + uint64(k)*0x9E3779B97F4A7C15})
+		if err != nil {
+			return nil, err
+		}
+		batches[k] = b
+		for id := range b {
+			ids[id] = true
+		}
+	}
+	s := &mcSample{mean: map[string]float64{}, se: map[string]float64{}}
+	for id := range ids {
+		var sum float64
+		for _, b := range batches {
+			sum += b[id]
+		}
+		mean := sum / mcBatches
+		var ss float64
+		for _, b := range batches {
+			ss += (b[id] - mean) * (b[id] - mean)
+		}
+		s.mean[id] = mean
+		s.se[id] = math.Sqrt(ss/(mcBatches-1)) / math.Sqrt(mcBatches)
+	}
+	return s, nil
+}
+
+// mismatches lists every block whose ENR lies outside mcZ standard errors
+// plus mcFloor of the sampled mean, and every block modeled as executing
+// (ENR above mcFloor) that the sampler never reached.
+func (s *mcSample) mismatches(enr map[string]float64) []string {
+	var out []string
+	for id, mean := range s.mean {
+		if got := enr[id]; math.Abs(got-mean) > mcZ*s.se[id]+mcFloor {
+			out = append(out, fmt.Sprintf("%s: ENR %.4f vs MC %.4f ± %.4f", id, got, mean, s.se[id]))
+		}
+	}
+	for id, got := range enr {
+		if _, ok := s.mean[id]; !ok && got > mcFloor {
+			out = append(out, fmt.Sprintf("%s: modeled (ENR %.4f) but never sampled", id, got))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// quickMCCase builds the BET and the batched Monte Carlo estimate for one
+// generated skeleton.
+func quickMCCase(seed uint32) (src string, bet *BET, mc *mcSample, err error) {
+	src = genSkeleton(uint64(seed))
+	prog, err := skeleton.Parse("gen", src)
+	if err != nil {
+		return src, nil, nil, fmt.Errorf("parse: %w", err)
+	}
+	if err := skeleton.Validate(prog); err != nil {
+		return src, nil, nil, fmt.Errorf("validate: %w", err)
+	}
+	tree, err := bst.Build(prog)
+	if err != nil {
+		return src, nil, nil, fmt.Errorf("bst: %w", err)
+	}
+	input := expr.Env{"n": 6}
+	if bet, err = Build(context.Background(), tree, input, nil); err != nil {
+		return src, nil, nil, fmt.Errorf("bet: %w", err)
+	}
+	if mc, err = sampleMC(tree, input, uint64(seed)*7+3); err != nil {
+		return src, nil, nil, fmt.Errorf("mc: %w", err)
+	}
+	return src, bet, mc, nil
+}
 
 // TestQuickBETMatchesMonteCarlo validates the full §IV statistical
 // semantics on randomly generated skeletons: for every leaf block, the
@@ -21,61 +133,53 @@ import (
 //
 // The expectations are exact in theory (the truncated-geometric iteration
 // formula and the post-break scaling both equal the process means), so the
-// tolerance only covers Monte Carlo noise at 3000 runs.
+// band only covers Monte Carlo noise. Inputs are deterministic: the pinned
+// seed corpus plus a fixed-seed quick.Check draw.
 func TestQuickBETMatchesMonteCarlo(t *testing.T) {
-	f := func(seed uint32) bool {
-		src := genSkeleton(uint64(seed))
-		prog, err := skeleton.Parse("gen", src)
+	check := func(seed uint32) bool {
+		src, bet, mc, err := quickMCCase(seed)
 		if err != nil {
-			t.Logf("seed %d: parse: %v\n%s", seed, err, src)
+			t.Logf("seed %d: %v\n%s", seed, err, src)
 			return false
 		}
-		if err := skeleton.Validate(prog); err != nil {
-			t.Logf("seed %d: validate: %v\n%s", seed, err, src)
+		if bad := mc.mismatches(enrByBlock(bet)); len(bad) > 0 {
+			t.Logf("seed %d:\n\t%s\n%s\nbet:\n%s", seed, strings.Join(bad, "\n\t"), src, bet.Dump())
 			return false
-		}
-		tree, err := bst.Build(prog)
-		if err != nil {
-			t.Logf("seed %d: bst: %v", seed, err)
-			return false
-		}
-		input := expr.Env{"n": 6}
-		bet, err := Build(context.Background(), tree, input, nil)
-		if err != nil {
-			t.Logf("seed %d: bet: %v\n%s", seed, err, src)
-			return false
-		}
-		mc, err := MonteCarlo(tree, input, &MCOptions{Runs: 4000, Seed: uint64(seed)*7 + 3})
-		if err != nil {
-			t.Logf("seed %d: mc: %v\n%s", seed, err, src)
-			return false
-		}
-		enr := enrByBlock(bet)
-		for id, want := range mc {
-			got := enr[id]
-			// 4000 runs: occurrences of deeply nested blocks cluster (one
-			// rare branch admits many executions), inflating the sampling
-			// variance well beyond Bernoulli noise, so the tolerance is
-			// generous. Genuine modeling errors show up as order-of-
-			// magnitude ratios (the competing-risk return bug this test
-			// caught was 97x off), far beyond 15%.
-			if RelErr(got, want, 0.25) > 0.15 {
-				t.Logf("seed %d: %s: ENR %.4f vs MC %.4f\n%s\nbet:\n%s",
-					seed, id, got, want, src, bet.Dump())
-				return false
-			}
-		}
-		// Nothing modeled as hot that never executes (and vice versa).
-		for id, got := range enr {
-			if _, ok := mc[id]; !ok && got > 0.05 {
-				t.Logf("seed %d: %s modeled (%.4f) but never sampled\n%s", seed, id, got, src)
-				return false
-			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	for _, seed := range quickMCSeeds {
+		if !check(seed) {
+			t.Errorf("pinned seed %d failed", seed)
+		}
+	}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(20140519))}
+	if err := quick.Check(check, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMCOracleHasPower: the oracle must still catch a real modeling error.
+// Doubling the ENR of any one block the sampler saw execute at least once
+// per run on average fails the check on every pinned seed.
+func TestMCOracleHasPower(t *testing.T) {
+	for _, seed := range quickMCSeeds {
+		_, bet, mc, err := quickMCCase(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		enr := enrByBlock(bet)
+		for id, got := range enr {
+			if mc.mean[id] < 1 {
+				continue
+			}
+			enr[id] = 2 * got
+			if len(mc.mismatches(enr)) == 0 {
+				t.Errorf("seed %d: doubling %s's ENR (%.4f) went undetected (MC %.4f ± %.4f)",
+					seed, id, got, mc.mean[id], mc.se[id])
+			}
+			enr[id] = got
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"skope/internal/hw"
+	"skope/internal/store"
 )
 
 // ErrLowConfidence marks a variant whose assembled analysis scored below
@@ -85,4 +86,16 @@ func (e *SweepError) Unwrap() []error {
 		errs[i] = v
 	}
 	return errs
+}
+
+// Tolerable reports whether a sweep error still leaves usable results:
+// failed variants (a *SweepError — every healthy variant is there), or
+// degraded durability (ErrJournalDegraded, store.ErrDegraded — the results
+// are complete, only resume or cache coverage is partial). Cancellation
+// and setup failures are not tolerable.
+func Tolerable(err error) bool {
+	var se *SweepError
+	return errors.As(err, &se) ||
+		errors.Is(err, ErrJournalDegraded) ||
+		errors.Is(err, store.ErrDegraded)
 }

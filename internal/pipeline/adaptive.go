@@ -28,7 +28,7 @@ import (
 // an exact engine evaluation, but only exhaustive mode proves it global.
 func SweepAdaptive(ctx context.Context, run *Run, variants []*hw.Machine, axes []explore.Axis, aopt explore.AdaptiveOptions, opts ...Option) ([]*Eval, *explore.AdaptiveResult, error) {
 	o := buildOptions(opts)
-	eng, err := Explorer(run, opts...)
+	eng, err := newEngine(run, o)
 	if err != nil {
 		return nil, nil, err
 	}

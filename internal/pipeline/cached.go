@@ -62,31 +62,39 @@ func SweepCached(ctx context.Context, w *workloads.Workload, variants []*hw.Mach
 	if err != nil {
 		return nil, nil, err
 	}
-	sum := &SweepSummary{
-		Workload:    w.Name,
-		Total:       len(variants),
-		Confidence:  run.Confidence,
-		Diagnostics: run.Diagnostics,
-	}
-	if l, lerr := run.Layout(); lerr == nil {
-		sum.LayoutFingerprint = l.Fingerprint()
-		if cacheable {
+	if cacheable {
+		if l, lerr := run.Layout(); lerr == nil {
 			// Record the preparation so the next identical sweep can skip
 			// it. Best-effort: a store failure costs cache coverage, not
 			// the sweep.
 			_ = st.PutPrep(store.PrepDigest(w, o.lenient, o.lim), store.Prep{
-				LayoutFingerprint: sum.LayoutFingerprint,
+				LayoutFingerprint: l.Fingerprint(),
 				Confidence:        run.Confidence,
 				Diagnostics:       run.Diagnostics,
 			})
 		}
-	}
-	if cacheable {
 		opts = append(opts, WithStore(st))
 	}
 	evals, err := Sweep(ctx, run, variants, opts...)
 	if evals == nil {
 		return nil, nil, err
+	}
+	return evals, run.Summarize(evals), err
+}
+
+// Summarize reports how a sweep over this run was served: evals are
+// index-aligned with the swept variants (nil where a variant failed or was
+// never evaluated) and are tallied by provenance; the preparation's
+// identity, confidence and diagnostics carry over.
+func (r *Run) Summarize(evals []*Eval) *SweepSummary {
+	sum := &SweepSummary{
+		Workload:    r.Workload.Name,
+		Total:       len(evals),
+		Confidence:  r.Confidence,
+		Diagnostics: r.Diagnostics,
+	}
+	if l, err := r.Layout(); err == nil {
+		sum.LayoutFingerprint = l.Fingerprint()
 	}
 	for _, ev := range evals {
 		switch {
@@ -99,7 +107,7 @@ func SweepCached(ctx context.Context, w *workloads.Workload, variants []*hw.Mach
 			sum.Computed++
 		}
 	}
-	return evals, sum, err
+	return sum
 }
 
 // sweepFromStore attempts the fully warm path: prep record plus every eval
@@ -149,14 +157,4 @@ func sweepFromStore(w *workloads.Workload, variants []*hw.Machine, st *store.Sto
 		Confidence:        prep.Confidence,
 		Diagnostics:       prep.Diagnostics,
 	}
-}
-
-// SweepCachedByName is SweepCached over a named benchmark at the given
-// scale.
-func SweepCachedByName(ctx context.Context, name string, s workloads.Scale, variants []*hw.Machine, st *store.Store, opts ...Option) ([]*Eval, *SweepSummary, error) {
-	w, err := workloads.Get(name, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SweepCached(ctx, w, variants, st, opts...)
 }

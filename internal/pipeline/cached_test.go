@@ -201,42 +201,3 @@ func TestSweepCachedBypassesForeignModel(t *testing.T) {
 		t.Errorf("foreign-model sweep wrote %d store records", n)
 	}
 }
-
-// TestEvaluateStoreHit: Evaluate serves its analysis from the store on the
-// second call — grafted, so hot-path extraction still works — while the
-// simulation (machine-specific, never cached) runs both times.
-func TestEvaluateStoreHit(t *testing.T) {
-	s, err := store.Open(filepath.Join(t.TempDir(), "cas.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	run := prepared(t, "srad")
-	m := hw.BGQ()
-
-	ev1, err := Evaluate(context.Background(), run, m, WithStore(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev1.Provenance != Computed {
-		t.Fatalf("first evaluation provenance %v, want Computed", ev1.Provenance)
-	}
-	ev2, err := Evaluate(context.Background(), run, m, WithStore(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev2.Provenance != FromStore {
-		t.Fatalf("second evaluation provenance %v, want FromStore", ev2.Provenance)
-	}
-	e1, _ := hotspot.EncodeAnalysis(ev1.Analysis)
-	e2, _ := hotspot.EncodeAnalysis(ev2.Analysis)
-	if !bytes.Equal(e1, e2) {
-		t.Error("store-served analysis not bit-identical")
-	}
-	if ev2.HotPath == nil || ev2.HotPath.NumNodes != ev1.HotPath.NumNodes {
-		t.Error("hot path lost on store-served evaluation")
-	}
-	if ev2.Sim == nil {
-		t.Error("simulation skipped on store hit (it is machine-specific and never cached)")
-	}
-}

@@ -119,7 +119,8 @@ func (r *Run) Degraded() bool {
 	return r.Confidence < 1 || len(r.Diagnostics) > 0
 }
 
-// Option configures Evaluate, EvaluateMany, Sweep, and Explorer.
+// Option configures Prepare, Evaluate, Sweep, SweepCached, and
+// SweepAdaptive.
 type Option func(*options)
 
 type options struct {
@@ -181,13 +182,13 @@ func WithModelFunc(f func(*hw.Machine) *hw.Model) Option {
 	}
 }
 
-// WithWorkers bounds the worker pools of EvaluateMany and Sweep (default
+// WithWorkers bounds the worker pool of the sweeps (default
 // runtime.GOMAXPROCS). Values < 1 leave the default in place.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithProgress installs a per-variant progress callback on Sweep.
+// WithProgress installs a per-variant progress callback on the sweeps.
 func WithProgress(f func(explore.Progress)) Option {
 	return func(o *options) { o.progress = f }
 }
@@ -199,18 +200,18 @@ func WithLimits(l *guard.Limits) Option {
 	return func(o *options) { o.lim = l }
 }
 
-// WithRetry installs a retry policy for transient per-machine failures in
-// EvaluateMany, Sweep, and Explorer-built engines (recovered panics,
-// per-variant timeouts — never cancellation or validation rejections).
-// The default is no retry.
+// WithRetry installs a retry policy for transient per-variant failures in
+// Sweep, SweepCached, and SweepAdaptive (recovered panics, per-variant
+// timeouts — never cancellation or validation rejections). The default is
+// no retry.
 func WithRetry(p resilience.Policy) Option {
 	return func(o *options) { o.retry = p }
 }
 
-// WithVariantTimeout bounds each per-machine evaluation attempt in
-// EvaluateMany, Sweep, and Explorer-built engines. Timed-out attempts
-// classify as transient and are retried under WithRetry. d <= 0 (the
-// default) enforces no deadline.
+// WithVariantTimeout bounds each per-variant evaluation attempt in Sweep,
+// SweepCached, and SweepAdaptive. Timed-out attempts classify as transient
+// and are retried under WithRetry. d <= 0 (the default) enforces no
+// deadline.
 func WithVariantTimeout(d time.Duration) Option {
 	return func(o *options) { o.timeout = d }
 }
@@ -226,8 +227,8 @@ func WithLenient(on bool) Option {
 	return func(o *options) { o.lenient = on }
 }
 
-// WithMinConfidence sets the confidence floor for Sweep and Explorer-built
-// engines: variants whose assembled analysis scores below c fail with an
+// WithMinConfidence sets the confidence floor for Sweep, SweepCached, and
+// SweepAdaptive: variants whose assembled analysis scores below c fail with an
 // error wrapping explore.ErrLowConfidence instead of ranking alongside
 // trustworthy projections. c <= 0 (the default) disables the filter.
 func WithMinConfidence(c float64) Option {
@@ -242,17 +243,17 @@ func WithProfile(p *interp.Profile) Option {
 	return func(o *options) { o.prof = p }
 }
 
-// WithJournal attaches a sweep journal to Sweep and Explorer-built
-// engines: variants recorded by an earlier run are replayed instead of
-// recomputed, and fresh completions are durably appended (fsync per
-// record). The journal must belong to the same prepared workload —
-// Explorer and Sweep fail with journal.ErrMetaMismatch otherwise.
+// WithJournal attaches a sweep journal to Sweep, SweepCached, and
+// SweepAdaptive: variants recorded by an earlier run are replayed instead
+// of recomputed, and fresh completions are durably appended (fsync per
+// record). The journal must belong to the same prepared workload — the
+// sweep fails with journal.ErrMetaMismatch otherwise.
 func WithJournal(j *journal.Journal) Option {
 	return func(o *options) { o.jnl = j }
 }
 
-// WithStore attaches a content-addressed result store to Evaluate, Sweep,
-// SweepCached, and Explorer-built engines. Results whose identity — layout
+// WithStore attaches a content-addressed result store to Sweep and
+// SweepAdaptive (SweepCached takes its store as an argument). Results whose identity — layout
 // fingerprint × machine fingerprint × evaluation-mode digest — is already
 // stored are served bit-identically with zero recomputation, across
 // sessions, processes, and restarts; fresh results are durably written
@@ -451,13 +452,12 @@ func (p Provenance) String() string {
 }
 
 // Eval is one machine-specific evaluation — the unified result type of
-// Evaluate, EvaluateMany, Sweep, and SweepCached, and the wire type the
+// Evaluate, Sweep, SweepCached, and SweepAdaptive, and the wire type the
 // skoped daemon serves. The analytical fields (Analysis, Selection,
 // Diagnostics, Confidence) are always present; the measured fields (Modl,
 // Prof, Sim, the quality metrics, HotPath) are populated only by the
-// simulating entry points (Evaluate, EvaluateMany) — purely analytical
-// sweeps leave them zero so that cached and computed sweep results are
-// interchangeable.
+// simulating entry point, Evaluate — purely analytical sweeps leave them
+// zero so that cached and computed sweep results are interchangeable.
 type Eval struct {
 	Machine *hw.Machine
 	// Analysis is the per-block roofline projection over the BET.
@@ -508,34 +508,9 @@ func Evaluate(ctx context.Context, run *Run, m *hw.Machine, opts ...Option) (ev 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: evaluate %s on %s: %w", run.Workload.Name, m.Name, err)
 	}
-	// Store path: serve the analysis by content address when one is
-	// attached. A hit is grafted onto the run's layout, so hot-path
-	// extraction below works identically; any store trouble (layout
-	// failure, decode skew, graft mismatch) falls back to computing.
-	var analysis *hotspot.Analysis
-	prov := Computed
-	if o.storeUsable() {
-		if l, lerr := run.Layout(); lerr == nil {
-			if a, ok, gerr := o.st.GetEval(l.Fingerprint(), m.Fingerprint(), o.modeDigest()); gerr == nil && ok {
-				if l.Graft(a) == nil {
-					analysis = a
-					prov = FromStore
-				}
-			}
-		}
-	}
-	if analysis == nil {
-		analysis, err = hotspot.Analyze(ctx, run.BET, o.modelFunc(m), run.Libs)
-		if err != nil {
-			return nil, stage(ErrModel, fmt.Errorf("pipeline: analyze %s on %s: %w", run.Workload.Name, m.Name, err))
-		}
-		if o.storeUsable() {
-			if l, lerr := run.Layout(); lerr == nil {
-				// Best-effort write-through: a store failure never fails
-				// the evaluation, the result is already in hand.
-				_ = o.st.PutEval(l.Fingerprint(), m.Fingerprint(), o.modeDigest(), analysis)
-			}
-		}
+	analysis, err := hotspot.Analyze(ctx, run.BET, o.modelFunc(m), run.Libs)
+	if err != nil {
+		return nil, stage(ErrModel, fmt.Errorf("pipeline: analyze %s on %s: %w", run.Workload.Name, m.Name, err))
 	}
 	sel := hotspot.Select(analysis, o.crit)
 
@@ -571,7 +546,6 @@ func Evaluate(ctx context.Context, run *Run, m *hw.Machine, opts ...Option) (ev 
 		HotPath:          hotpath.Extract(run.BET.Root, sel.Spots),
 		Diagnostics:      evDiags,
 		Confidence:       conf,
-		Provenance:       prov,
 	}, nil
 }
 

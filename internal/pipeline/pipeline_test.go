@@ -179,41 +179,6 @@ func findBlock(a *hotspot.Analysis, funcName string) string {
 	return ""
 }
 
-func TestEvaluateManyMatchesSequential(t *testing.T) {
-	run := prepared(t, "srad")
-	crit := hotspot.ScaledCriteria()
-	machines := []*hw.Machine{hw.BGQ(), hw.XeonE5()}
-	par, err := EvaluateMany(context.Background(), run, machines, WithCriteria(crit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range machines {
-		seq, err := Evaluate(context.Background(), run, m, WithCriteria(crit))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par[i].Quality != seq.Quality {
-			t.Errorf("%s: parallel quality %g != sequential %g", m.Name, par[i].Quality, seq.Quality)
-		}
-		if got, want := par[i].Modl.TopIDs(5), seq.Modl.TopIDs(5); len(got) == len(want) {
-			for j := range got {
-				if got[j] != want[j] {
-					t.Errorf("%s: rank %d differs: %s vs %s", m.Name, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-func TestEvaluateManyPropagatesError(t *testing.T) {
-	run := prepared(t, "srad")
-	bad := hw.BGQ()
-	bad.FreqGHz = 0
-	if _, err := EvaluateMany(context.Background(), run, []*hw.Machine{hw.XeonE5(), bad}, WithCriteria(hotspot.ScaledCriteria())); err == nil {
-		t.Error("invalid machine not reported")
-	}
-}
-
 func TestSweepParallel(t *testing.T) {
 	run := prepared(t, "chargei")
 	var variants []*hw.Machine
@@ -295,26 +260,6 @@ func TestEvaluateCanceledContext(t *testing.T) {
 	if _, err := Evaluate(ctx, run, hw.BGQ()); !errors.Is(err, context.Canceled) {
 		t.Errorf("Evaluate on canceled ctx = %v, want context.Canceled in chain", err)
 	}
-}
-
-func TestEvaluateManyCanceledContext(t *testing.T) {
-	run := prepared(t, "sord")
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	machines := make([]*hw.Machine, 64)
-	for i := range machines {
-		machines[i] = hw.BGQ()
-	}
-	start := time.Now()
-	_, err := EvaluateMany(ctx, run, machines, WithCriteria(hotspot.ScaledCriteria()))
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateMany on canceled ctx = %v, want context.Canceled in chain", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("canceled EvaluateMany took %s, want prompt return", el)
-	}
-	noLeakedGoroutines(t, before)
 }
 
 func TestSweepCanceledMidFlight(t *testing.T) {

@@ -1,0 +1,131 @@
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+
+	"skope/internal/explore"
+	"skope/internal/guard"
+	"skope/internal/hotspot"
+	"skope/internal/hw"
+)
+
+// newEngine builds the exploration engine Sweep and SweepAdaptive run on,
+// over the prepared workload's BET and library model. WithModelFunc,
+// WithWorkers, WithProgress, WithRetry, WithVariantTimeout, WithMinConfidence,
+// WithJournal and WithStore carry over (the store is keyed under this
+// configuration's criteria, lenient flag, and confidence floor).
+func newEngine(run *Run, o options) (*explore.Engine, error) {
+	eopts := []explore.Option{
+		explore.ModelFunc(o.modelFunc),
+		explore.Workers(o.workers),
+		explore.Retry(o.retry),
+		explore.VariantTimeout(o.timeout),
+	}
+	if o.progress != nil {
+		eopts = append(eopts, explore.OnProgress(o.progress))
+	}
+	if o.minConf > 0 {
+		eopts = append(eopts, explore.MinConfidence(o.minConf))
+	}
+	if o.jnl != nil {
+		eopts = append(eopts, explore.Journal(o.jnl))
+	}
+	if o.storeUsable() {
+		eopts = append(eopts, explore.CAS(o.st, o.modeDigest()))
+	}
+	eng, err := explore.New(run.BET, run.Libs, eopts...)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %s: %w", run.Workload.Name, err)
+	}
+	return eng, nil
+}
+
+// Sweep projects a prepared workload over a set of machine variants purely
+// analytically (no simulation) — the co-design design-space exploration
+// loop. It runs on the exploration engine: a bounded worker pool with
+// memoized per-block characterization, plus the sweep journal (WithJournal)
+// and the content-addressed store (WithStore) as zero-recompute sources.
+//
+// It returns the unified Eval type: per variant, the analysis, the hot-spot
+// selection under this configuration's criteria, the merged diagnostics,
+// the end-to-end confidence, and the provenance (computed, journal, store).
+// The measured fields (Sim, Modl/Prof, quality, HotPath) stay zero — sweeps
+// never simulate — so cached and computed sweep results are interchangeable.
+// Evals are index-aligned with the variants; failed variants (see
+// explore.SweepError) leave nils behind and come back as a wrapped
+// aggregate error alongside the healthy evaluations. Cancellation (the only
+// way to lose healthy results) returns nil evaluations and the wrapped
+// context error.
+func Sweep(ctx context.Context, run *Run, variants []*hw.Machine, opts ...Option) ([]*Eval, error) {
+	o := buildOptions(opts)
+	eng, err := newEngine(run, o)
+	if err != nil {
+		return nil, err
+	}
+	evals := make([]*Eval, len(variants))
+	var failures []*explore.VariantError
+	results, wait := eng.Stream(ctx, variants)
+	for r := range results {
+		if r.Err != nil {
+			var ve *explore.VariantError
+			if !errors.As(r.Err, &ve) {
+				ve = &explore.VariantError{Index: r.Index, Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
+			}
+			failures = append(failures, ve)
+			continue
+		}
+		evals[r.Index] = sweepEval(run.Diagnostics, run.Confidence, r, o.crit)
+	}
+	werr := wait()
+	if werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
+		return nil, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, werr)
+	}
+	var errs []error
+	if len(failures) > 0 {
+		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
+		errs = append(errs, &explore.SweepError{Variants: failures})
+	}
+	if werr != nil {
+		// Journal or store degradation: results are complete, only
+		// durability/cache coverage is partial.
+		errs = append(errs, werr)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return evals, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, err)
+	}
+	return evals, nil
+}
+
+// sweepEval assembles the unified Eval for one analytical sweep result:
+// selection under the configured criteria, preparation + analysis
+// diagnostics merged, end-to-end confidence, provenance from the result's
+// source flags. Shared by Sweep and SweepAdaptive.
+func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result, crit hotspot.Criteria) *Eval {
+	a := r.Analysis
+	diags := make([]guard.Diagnostic, 0, len(prepDiags)+len(a.Diagnostics))
+	diags = append(diags, prepDiags...)
+	diags = append(diags, a.Diagnostics...)
+	guard.SortDiagnostics(diags)
+	conf := prepConf
+	if a.Confidence < conf {
+		conf = a.Confidence
+	}
+	prov := Computed
+	switch {
+	case r.Replayed:
+		prov = FromJournal
+	case r.Stored:
+		prov = FromStore
+	}
+	return &Eval{
+		Machine:     r.Machine,
+		Analysis:    a,
+		Selection:   hotspot.Select(a, crit),
+		Diagnostics: diags,
+		Confidence:  conf,
+		Provenance:  prov,
+	}
+}

@@ -5,8 +5,7 @@
 //
 // The package is deliberately mechanism-only: it does not know about
 // machines, sweeps, or journals. Package explore composes these primitives
-// around its per-variant evaluation, and pipeline.EvaluateMany around its
-// per-machine evaluation.
+// around its per-variant evaluation, which every pipeline sweep runs on.
 package resilience
 
 import (

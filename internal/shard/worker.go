@@ -347,7 +347,7 @@ func (w *Worker) processShard(ctx context.Context, run *pipeline.Run, variants [
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if sweepErr != nil && !tolerableSweepErr(sweepErr) {
+	if sweepErr != nil && !explore.Tolerable(sweepErr) {
 		return w.failShard(ctx, stats, sh, epoch, sweepErr)
 	}
 
@@ -407,14 +407,6 @@ func (w *Worker) failShard(ctx context.Context, stats *WorkerStats, sh Shard, ep
 		return fmt.Errorf("%v (and reporting it failed: %w)", cause, err)
 	}
 	return nil
-}
-
-// tolerableSweepErr reports whether the sweep's error still left a
-// reportable result set: per-variant failures (they ride on Complete) or
-// degraded-durability warnings.
-func tolerableSweepErr(err error) bool {
-	var se *explore.SweepError
-	return errors.As(err, &se) || errors.Is(err, explore.ErrJournalDegraded)
 }
 
 // collectResults reads the shard journal back and pairs each record with
